@@ -229,7 +229,7 @@ func run(ctx context.Context) error {
 					i+1, len(r.Created), len(r.DropListed), r.OptimizerCalls, r.TerminatedBy, degr)
 			}
 		} else {
-			wr, err := core.RunMNSAWorkloadParallelCtx(ctx, sess, queries, cfg, *parallel)
+			wr, err := core.RunMNSAWorkloadCtx(ctx, sess, queries, cfg, *parallel)
 			if err != nil {
 				return err
 			}
@@ -238,7 +238,7 @@ func run(ctx context.Context) error {
 			reportDegraded(wr.BuildFailures, guard)
 		}
 	case "offline":
-		rep, err := core.OfflineTuneParallelCtx(ctx, sess, queries, cfg, nil, *parallel)
+		rep, err := core.OfflineTuneCtx(ctx, sess, queries, cfg, nil, *parallel)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,8 @@
 package autostats
 
 import (
+	"context"
+
 	"autostats/internal/feedback"
 	"autostats/internal/stats"
 )
@@ -114,5 +116,5 @@ func (s *System) FeedbackEntries() []feedback.EntrySnapshot {
 func (s *System) RunMaintenanceReport() (stats.MaintenanceReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.mgr.RunMaintenance(s.maint)
+	return s.mgr.RunMaintenanceCtx(context.Background(), s.maint)
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -260,7 +261,7 @@ func Figure4(dbName, wlName string, scale float64, seed int64, candidateFn func(
 	cfg.CandidateFn = candidateFn
 	envM.Mgr.ResetAccounting()
 	start := time.Now()
-	wr, err := core.RunMNSAWorkload(envM.Sess, queries, cfg)
+	wr, err := core.RunMNSAWorkloadCtx(context.Background(), envM.Sess, queries, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +326,7 @@ func Table1(dbName, wlName string, scale float64, seed int64) (*Table1Row, error
 	}
 	queries := w.Queries()
 	cfg := core.DefaultConfig()
-	wrA, err := core.RunMNSAWorkload(envA.Sess, queries, cfg)
+	wrA, err := core.RunMNSAWorkloadCtx(context.Background(), envA.Sess, queries, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +339,7 @@ func Table1(dbName, wlName string, scale float64, seed int64) (*Table1Row, error
 	}
 	cfgD := cfg
 	cfgD.Drop = true
-	wrB, err := core.RunMNSAWorkload(envB.Sess, queries, cfgD)
+	wrB, err := core.RunMNSAWorkloadCtx(context.Background(), envB.Sess, queries, cfgD, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +428,7 @@ func replayWithMaintenance(e *Env, w *workload.Workload) (float64, error) {
 			return 0, err
 		}
 		if (i+1)%25 == 0 {
-			if _, err := e.Mgr.RunMaintenance(policy); err != nil {
+			if _, err := e.Mgr.RunMaintenanceCtx(context.Background(), policy); err != nil {
 				return 0, err
 			}
 		}

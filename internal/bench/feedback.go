@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -92,7 +93,7 @@ func FeedbackDemo(scale float64) (*FeedbackRow, error) {
 		return nil, fmt.Errorf("bench: no feedback evidence for lineitem before maintenance")
 	}
 
-	rep, err := env.Mgr.RunMaintenance(stats.DefaultFeedbackPolicy())
+	rep, err := env.Mgr.RunMaintenanceCtx(context.Background(), stats.DefaultFeedbackPolicy())
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 	"time"
 
@@ -55,7 +56,7 @@ func Parallel(dbName, wlName string, scale float64, seed int64, parallelism int)
 	queries := w.Queries()
 
 	start := time.Now()
-	serial, err := core.RunMNSAWorkload(serialEnv.Sess, queries, cfg)
+	serial, err := core.RunMNSAWorkloadCtx(context.Background(), serialEnv.Sess, queries, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +78,7 @@ func Parallel(dbName, wlName string, scale float64, seed int64, parallelism int)
 	busyT := parEnv.Sess.Obs().Timing("tune.worker.busy")
 	busyBefore := busyT.Snapshot().Sum
 	start = time.Now()
-	par, err := core.RunMNSAWorkloadParallel(parEnv.Sess, pw.Queries(), cfg, parallelism)
+	par, err := core.RunMNSAWorkloadCtx(context.Background(), parEnv.Sess, pw.Queries(), cfg, parallelism)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"autostats/internal/datagen"
@@ -124,7 +125,7 @@ func TestMNSAPrunesAndPreservesQuality(t *testing.T) {
 			WHERE l_orderkey = o_orderkey AND l_shipdate < DATE 8500
 			AND o_totalprice > 400000 AND l_quantity > 45`)
 		cfg := DefaultConfig()
-		res, err := RunMNSA(sess, q, cfg)
+		res, err := RunMNSACtx(context.Background(), sess, q, cfg)
 		if err != nil {
 			t.Fatalf("z=%v: MNSA: %v", z, err)
 		}
@@ -169,7 +170,7 @@ func TestMNSAOptimizerCallOverhead(t *testing.T) {
 	db := testDB(t, 2)
 	sess := newSession(t, db)
 	q := mustParse(t, db, `SELECT * FROM lineitem WHERE l_quantity > 45 AND l_discount < 0.02`)
-	res, err := RunMNSA(sess, q, DefaultConfig())
+	res, err := RunMNSACtx(context.Background(), sess, q, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,9 @@ func TestMNSADDropListsNonEssential(t *testing.T) {
 	q := mustParse(t, db, `SELECT * FROM lineitem, orders, customer
 		WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey
 		AND l_quantity > 45 AND c_acctbal > 9000 AND o_totalprice > 400000`)
-	res, err := RunMNSAD(sess, q, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Drop = true
+	res, err := RunMNSACtx(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +235,7 @@ func TestShrinkingSetProducesEssentialSet(t *testing.T) {
 	}
 
 	eq := ExecutionTree{}
-	sr, err := ShrinkingSet(sess, []*querySelect{q}, nil, eq)
+	sr, err := ShrinkingSetCtx(context.Background(), sess, []*querySelect{q}, nil, eq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +261,7 @@ func TestShrinkingSetCallBound(t *testing.T) {
 		}
 	}
 	n := len(sess.Manager().All())
-	sr, err := ShrinkingSet(sess, []*querySelect{q1, q2}, nil, ExecutionTree{})
+	sr, err := ShrinkingSetCtx(context.Background(), sess, []*querySelect{q1, q2}, nil, ExecutionTree{})
 	if err != nil {
 		t.Fatal(err)
 	}

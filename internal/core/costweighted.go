@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -45,7 +46,7 @@ func RunMNSACostWeighted(sess *optimizer.Session, queries []*query.Select, cfg C
 		selected = append(selected, r.q)
 		covered += r.cost
 	}
-	wr, err := RunMNSAWorkload(sess, selected, cfg)
+	wr, err := RunMNSAWorkloadCtx(context.TODO(), sess, selected, cfg, 1)
 	if err != nil {
 		return nil, 0, err
 	}

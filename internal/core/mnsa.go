@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"autostats/internal/obs"
 	"autostats/internal/optimizer"
@@ -173,19 +176,16 @@ type BuildFailure struct {
 	Err    error
 }
 
-// RunMNSA creates statistics for q per Figure 1: repeatedly test whether the
-// current statistics include an essential set via magic number sensitivity
-// analysis, and if not, build the statistic most likely to matter (the
-// most-expensive-operator heuristic of §4.2). Join-column statistics are
-// created in dependent pairs.
-func RunMNSA(sess *optimizer.Session, q *query.Select, cfg Config) (*Result, error) {
-	return RunMNSACtx(context.Background(), sess, q, cfg)
-}
-
-// RunMNSACtx is RunMNSA honoring cancellation and deadlines: ctx is checked
-// at every loop iteration and flows into each statistic build, so a canceled
-// analysis stops at the next boundary with manager state reflecting exactly
-// the builds that completed (each build is individually atomic).
+// RunMNSACtx creates statistics for q per Figure 1: repeatedly test whether
+// the current statistics include an essential set via magic number
+// sensitivity analysis, and if not, build the statistic most likely to
+// matter (the most-expensive-operator heuristic of §4.2). Join-column
+// statistics are created in dependent pairs. cfg.Drop selects MNSA/D (§5.1).
+//
+// ctx is checked at every loop iteration and flows into each statistic
+// build, so a canceled analysis stops at the next boundary with manager
+// state reflecting exactly the builds that completed (each build is
+// individually atomic).
 func RunMNSACtx(ctx context.Context, sess *optimizer.Session, q *query.Select, cfg Config) (*Result, error) {
 	if cfg.T <= 0 {
 		cfg.T = 20
@@ -427,13 +427,6 @@ func RunMNSACtx(ctx context.Context, sess *optimizer.Session, q *query.Select, c
 	}
 }
 
-// RunMNSAD is RunMNSA with non-essential statistic detection enabled —
-// Magic Number Sensitivity Analysis with Drop (§5.1).
-func RunMNSAD(sess *optimizer.Session, q *query.Select, cfg Config) (*Result, error) {
-	cfg.Drop = true
-	return RunMNSA(sess, q, cfg)
-}
-
 // WorkloadResult aggregates MNSA runs over a workload.
 type WorkloadResult struct {
 	PerQuery       []*Result
@@ -448,35 +441,97 @@ type WorkloadResult struct {
 // Degraded reports whether any query of the workload ran degraded.
 func (wr *WorkloadResult) Degraded() bool { return len(wr.BuildFailures) > 0 }
 
-// RunMNSAWorkload invokes MNSA for each query in order (§4.3: "a sufficient
-// set of statistics for a workload can be obtained by invoking MNSA for each
-// query in the workload"). Statistics accumulate in the session's manager.
-func RunMNSAWorkload(sess *optimizer.Session, queries []*query.Select, cfg Config) (*WorkloadResult, error) {
-	return RunMNSAWorkloadCtx(context.Background(), sess, queries, cfg)
-}
-
-// RunMNSAWorkloadCtx is RunMNSAWorkload honoring cancellation: ctx is
-// checked between workload queries (and inside each per-query analysis), so
-// cancellation stops the pass at the next boundary with the manager holding
-// exactly the statistics already built.
-func RunMNSAWorkloadCtx(ctx context.Context, sess *optimizer.Session, queries []*query.Select, cfg Config) (*WorkloadResult, error) {
-	wr := &WorkloadResult{}
+// RunMNSAWorkloadCtx invokes MNSA for each query of the workload (§4.3: "a
+// sufficient set of statistics for a workload can be obtained by invoking
+// MNSA for each query in the workload"). Statistics accumulate in the
+// session's manager and the per-query results are merged in input order.
+//
+// parallelism <= 1 runs the queries in order on sess itself, on the
+// caller's goroutine: sess's degraded flag, ignored set and overrides carry
+// across queries exactly as they would for a caller looping over RunMNSACtx.
+// Higher values hand the queries to that many workers, each on its own
+// sess.Clone() (sessions are single-goroutine; the manager and plan cache
+// they share are concurrency-safe). The outcome is then schedule-dependent
+// in the way serial query order already is: a query that runs after more
+// statistics exist may stop earlier, so the created set can differ from a
+// serial run's and per-query attribution moves to whichever worker first
+// needed a statistic. Every statistic is still drawn from the same candidate
+// space and every query terminates by the same Figure 1 criteria.
+//
+// ctx is checked before each query is handed out and inside each analysis;
+// cancellation returns ctx's error with the manager holding exactly the
+// statistics already built (each build is individually atomic). After the
+// first query error no further queries are handed out, and the error
+// reported is the first by input position.
+func RunMNSAWorkloadCtx(ctx context.Context, sess *optimizer.Session, queries []*query.Select, cfg Config, parallelism int) (*WorkloadResult, error) {
+	parallelism = max(1, min(parallelism, len(queries)))
+	mgr := sess.Manager()
 	// Snapshot the drop-list at entry: the report must cover what THIS run
 	// drop-listed, not entries inherited from earlier tuning passes.
 	pre := map[stats.ID]bool{}
-	for _, id := range sess.Manager().DropListIDs() {
+	for _, id := range mgr.DropListIDs() {
 		pre[id] = true
 	}
-	seen := map[stats.ID]bool{}
-	for _, q := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+
+	reg := sess.Obs()
+	// tune.worker.busy accumulates per-query work time across all workers;
+	// bench harnesses divide its sum by wall-clock × workers to report pool
+	// utilization. The gauge records the pool size of the most recent run.
+	busy := reg.Timing("tune.worker.busy")
+	workerQueries := reg.Counter("tune.worker.queries")
+	reg.Gauge("tune.workers").Set(int64(parallelism))
+	sp := reg.StartSpan("tune.parallel", map[string]any{"queries": len(queries), "workers": parallelism})
+
+	results := make([]*Result, len(queries))
+	errs := make([]error, len(queries))
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func(ws *optimizer.Session) {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(queries) || failed.Load() || ctx.Err() != nil {
+				return
+			}
+			qStart := time.Now()
+			results[i], errs[i] = RunMNSACtx(ctx, ws, queries[i], cfg)
+			busy.Observe(time.Since(qStart))
+			workerQueries.Inc()
+			if errs[i] != nil {
+				failed.Store(true)
+			}
 		}
-		r, err := RunMNSACtx(ctx, sess, q, cfg)
+	}
+	if parallelism == 1 {
+		work(sess)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < parallelism; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(sess.Clone())
+			}()
+		}
+		wg.Wait()
+	}
+
+	if err := ctx.Err(); err != nil {
+		sp.End(map[string]any{"error": err.Error()})
+		return nil, err
+	}
+	// Queries are handed out in input order, so every query before the
+	// first failing one ran: the report is stable under any schedule.
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			sp.End(map[string]any{"error": err.Error()})
+			return nil, fmt.Errorf("core: query %d: %w", i, err)
 		}
-		wr.PerQuery = append(wr.PerQuery, r)
+	}
+
+	mergeStart := time.Now()
+	wr := &WorkloadResult{PerQuery: results}
+	seen := map[stats.ID]bool{}
+	for _, r := range results {
 		wr.OptimizerCalls += r.OptimizerCalls
 		wr.BuildFailures = append(wr.BuildFailures, r.BuildFailures...)
 		for _, id := range r.Created {
@@ -488,10 +543,16 @@ func RunMNSAWorkloadCtx(ctx context.Context, sess *optimizer.Session, queries []
 	}
 	// The final drop-list reflects later resurrections, so read it from the
 	// manager rather than accumulating per-query — minus the entry snapshot.
-	for _, id := range sess.Manager().DropListIDs() {
+	for _, id := range mgr.DropListIDs() {
 		if !pre[id] {
 			wr.DropListed = append(wr.DropListed, id)
 		}
 	}
+	reg.Timing("tune.merge.latency").Observe(time.Since(mergeStart))
+	sp.End(map[string]any{
+		"created":         len(wr.Created),
+		"drop_listed":     len(wr.DropListed),
+		"optimizer_calls": wr.OptimizerCalls,
+	})
 	return wr, nil
 }

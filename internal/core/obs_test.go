@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestTuneCountersReconcile(t *testing.T) {
 	qs := tuningWorkload(t, db)
 	cfg := DefaultConfig()
 
-	rep, err := OfflineTune(sess, qs, cfg, nil)
+	rep, err := OfflineTuneCtx(context.Background(), sess, qs, cfg, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +108,9 @@ func (c *countingTracer) Emit(ev obs.Event) {
 	}
 }
 
-// TestParallelTuningWithTracing runs the parallel driver with a tracer
-// attached: spans must balance, worker metrics must add up, and the race
-// detector gets a chance to object to the span plumbing.
+// TestParallelTuningWithTracing runs the workload driver at parallelism 4
+// with a tracer attached: spans must balance, worker metrics must add up,
+// and the race detector gets a chance to object to the span plumbing.
 func TestParallelTuningWithTracing(t *testing.T) {
 	db := testDB(t, 2)
 	sess, reg := obsSession(t, db)
@@ -120,7 +121,7 @@ func TestParallelTuningWithTracing(t *testing.T) {
 	qs := tuningWorkload(t, db)
 
 	const parallelism = 4
-	wr, err := RunMNSAWorkloadParallel(sess, qs, cfg, parallelism)
+	wr, err := RunMNSAWorkloadCtx(context.Background(), sess, qs, cfg, parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"autostats/internal/optimizer"
@@ -27,25 +30,101 @@ func tuningWorkload(t testing.TB, db *storage.Database) []*querySelect {
 	return qs
 }
 
-// TestParallelP1IdenticalToSerial: with parallelism 1 the parallel driver
-// must reproduce the serial driver exactly — same structs, same order, same
-// counters — on an identical fresh database.
-func TestParallelP1IdenticalToSerial(t *testing.T) {
+// TestWorkloadP1MatchesPerQueryLoop: at parallelism 1 the workload driver is
+// §4.3's "invoke MNSA for each query": a loop calling RunMNSACtx per query in
+// order on one session, merged by hand, gives the same report on an
+// identical fresh database.
+func TestWorkloadP1MatchesPerQueryLoop(t *testing.T) {
 	dbA, dbB := testDB(t, 2), testDB(t, 2)
 	sessA, sessB := newSession(t, dbA), newSession(t, dbB)
 	cfg := DefaultConfig()
 	cfg.Drop = true
+	ctx := context.Background()
 
-	serial, err := RunMNSAWorkload(sessA, tuningWorkload(t, dbA), cfg)
+	want := &WorkloadResult{}
+	seen := map[stats.ID]bool{}
+	for _, q := range tuningWorkload(t, dbA) {
+		r, err := RunMNSACtx(ctx, sessA, q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.PerQuery = append(want.PerQuery, r)
+		want.OptimizerCalls += r.OptimizerCalls
+		for _, id := range r.Created {
+			if !seen[id] {
+				seen[id] = true
+				want.Created = append(want.Created, id)
+			}
+		}
+	}
+	want.DropListed = sessA.Manager().DropListIDs()
+	if len(want.Created) == 0 || len(want.DropListed) == 0 {
+		t.Fatalf("setup: reference created %d and drop-listed %d statistics, want both > 0",
+			len(want.Created), len(want.DropListed))
+	}
+
+	got, err := RunMNSAWorkloadCtx(ctx, sessB, tuningWorkload(t, dbB), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunMNSAWorkloadParallel(sessB, tuningWorkload(t, dbB), cfg, 1)
+	if !reflect.DeepEqual(got.PerQuery, want.PerQuery) {
+		t.Errorf("PerQuery diverged from the per-query loop:\ngot:  %+v\nwant: %+v", got.PerQuery, want.PerQuery)
+	}
+	if !reflect.DeepEqual(got.Created, want.Created) {
+		t.Errorf("Created = %v, want %v", got.Created, want.Created)
+	}
+	if !reflect.DeepEqual(got.DropListed, want.DropListed) {
+		t.Errorf("DropListed = %v, want %v", got.DropListed, want.DropListed)
+	}
+	if got.OptimizerCalls != want.OptimizerCalls {
+		t.Errorf("OptimizerCalls = %d, want %d", got.OptimizerCalls, want.OptimizerCalls)
+	}
+}
+
+// TestWorkloadP1StopsAtFirstError: at parallelism 1 a failing query ends the
+// pass, so no statistic that only a later query would create gets built.
+func TestWorkloadP1StopsAtFirstError(t *testing.T) {
+	const failAt = 2
+	ctx := context.Background()
+	db := testDB(t, 2)
+	sess := newSession(t, db)
+	queries := tuningWorkload(t, db)
+	cfg := DefaultConfig()
+	// The small-table shortcut resolves every candidate's table before any
+	// analysis; no TPC-D table is this small, so only the bogus candidate
+	// planted on queries[failAt] changes the run — by failing it.
+	cfg.MinTableRows = 1
+	cfg.CandidateFn = func(q *querySelect) []Candidate {
+		cands := CandidateStats(q)
+		if q == queries[failAt] {
+			cands = append(cands, Candidate{Table: "no_such_table", Columns: []string{"x"}})
+		}
+		return cands
+	}
+	_, err := RunMNSAWorkloadCtx(ctx, sess, queries, cfg, 1)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("query %d", failAt)) {
+		t.Fatalf("err = %v, want the failure of query %d", err, failAt)
+	}
+
+	// Reference on a fresh database: what the later queries create once the
+	// queries before the failing one have run.
+	refDB := testDB(t, 2)
+	refSess := newSession(t, refDB)
+	refQs := tuningWorkload(t, refDB)
+	if _, err := RunMNSAWorkloadCtx(ctx, refSess, refQs[:failAt], cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	later, err := RunMNSAWorkloadCtx(ctx, refSess, refQs[failAt+1:], cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Errorf("parallelism=1 diverged from serial:\nserial: %+v\nparallel: %+v", serial, par)
+	if len(later.Created) == 0 {
+		t.Fatal("setup: the queries after the failing one create nothing")
+	}
+	for _, id := range later.Created {
+		if sess.Manager().Has(id) {
+			t.Errorf("statistic %s, created only by a query after the failing one, was built", id)
+		}
 	}
 }
 
@@ -67,7 +146,7 @@ func TestParallelWorkloadInvariants(t *testing.T) {
 		candidates[c.ID()] = true
 	}
 
-	par, err := RunMNSAWorkloadParallel(sess, queries, cfg, 4)
+	par, err := RunMNSAWorkloadCtx(context.Background(), sess, queries, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +181,15 @@ func TestParallelWorkloadInvariants(t *testing.T) {
 	}
 }
 
-// TestParallelWithSharedPlanCache runs the parallel driver with a shared plan
-// cache attached; under -race this doubles as the optimize-while-mutate
-// stress test at the workload level.
+// TestParallelWithSharedPlanCache runs the workload driver at parallelism 4
+// with a shared plan cache attached; under -race this doubles as the
+// optimize-while-mutate stress test at the workload level.
 func TestParallelWithSharedPlanCache(t *testing.T) {
 	db := testDB(t, 2)
 	sess := newSession(t, db)
 	cache := optimizer.NewPlanCache(256)
 	sess.SetPlanCache(cache)
-	wr, err := RunMNSAWorkloadParallel(sess, tuningWorkload(t, db), DefaultConfig(), 4)
+	wr, err := RunMNSAWorkloadCtx(context.Background(), sess, tuningWorkload(t, db), DefaultConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +203,7 @@ func TestParallelWithSharedPlanCache(t *testing.T) {
 }
 
 // TestParallelDropListDelta: pre-existing drop-list entries must not be
-// reported by either driver (regression for the snapshot-delta fix).
+// reported at parallelism 1 or 4 (regression for the snapshot-delta fix).
 func TestParallelDropListDelta(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		db := testDB(t, 2)
@@ -138,7 +217,7 @@ func TestParallelDropListDelta(t *testing.T) {
 
 		cfg := DefaultConfig()
 		cfg.Drop = true
-		wr, err := RunMNSAWorkloadParallel(sess, tuningWorkload(t, db), cfg, parallelism)
+		wr, err := RunMNSAWorkloadCtx(context.Background(), sess, tuningWorkload(t, db), cfg, parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +240,7 @@ func TestAgingSkipAvoidsWastedReoptimize(t *testing.T) {
 
 	q := mustParse(t, db, "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45")
 	cfg := DefaultConfig()
-	res, err := RunMNSA(sess, q, cfg)
+	res, err := RunMNSACtx(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +250,7 @@ func TestAgingSkipAvoidsWastedReoptimize(t *testing.T) {
 
 	cfg.UseAging = true
 	cfg.AgingCostThreshold = 1e18
-	res2, err := RunMNSA(sess, q, cfg)
+	res2, err := RunMNSACtx(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

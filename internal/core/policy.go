@@ -62,20 +62,14 @@ func NewAutoManager(sess *optimizer.Session, ex *executor.Executor) *AutoManager
 // Session returns the underlying optimizer session.
 func (am *AutoManager) Session() *optimizer.Session { return am.sess }
 
-// ProcessStatement handles one incoming statement under the on-the-fly
-// policy and returns its execution result.
-func (am *AutoManager) ProcessStatement(stmt query.Statement) (*executor.Result, error) {
-	return am.ProcessStatementCtx(context.Background(), stmt)
-}
-
-// ProcessStatementCtx is ProcessStatement honoring cancellation and
-// deadlines through the MNSA analysis, statistic builds and the periodic
-// maintenance pass. With a Guard installed, statistics failures degrade the
-// statement instead of failing it: the degraded reasons are set on the
-// session before optimization (so the executed plan is tagged and bypasses
-// the plan cache) and cleared at the next statement boundary, which is what
-// lets recovered statistics produce healthy plans again without any explicit
-// reset.
+// ProcessStatementCtx handles one incoming statement under the on-the-fly
+// policy and returns its execution result. ctx bounds the MNSA analysis,
+// statistic builds and the periodic maintenance pass. With a Guard
+// installed, statistics failures degrade the statement instead of failing
+// it: the degraded reasons are set on the session before optimization (so
+// the executed plan is tagged and bypasses the plan cache) and cleared at the
+// next statement boundary, which is what lets recovered statistics produce
+// healthy plans again without any explicit reset.
 func (am *AutoManager) ProcessStatementCtx(ctx context.Context, stmt query.Statement) (*executor.Result, error) {
 	mgr := am.sess.Manager()
 	mgr.Tick()
@@ -144,22 +138,20 @@ func (r *TuneReport) BuildFailures() []BuildFailure {
 	return r.MNSA.BuildFailures
 }
 
-// OfflineTune implements the conservative §6 policy: an offline process runs
-// MNSA over every query of the workload, then the Shrinking Set algorithm
-// eliminates non-essential statistics, which are moved to the drop-list
-// (physical deletion remains a separate policy action). eq nil defaults to
-// execution-tree equivalence as in Figure 2.
-func OfflineTune(sess *optimizer.Session, queries []*query.Select, cfg Config, eq Equivalence) (*TuneReport, error) {
-	return OfflineTuneCtx(context.Background(), sess, queries, cfg, eq)
-}
-
-// OfflineTuneCtx is OfflineTune honoring cancellation in both phases.
-func OfflineTuneCtx(ctx context.Context, sess *optimizer.Session, queries []*query.Select, cfg Config, eq Equivalence) (*TuneReport, error) {
+// OfflineTuneCtx implements the conservative §6 policy: an offline process
+// runs MNSA over every query of the workload (RunMNSAWorkloadCtx at the given
+// parallelism), then the Shrinking Set algorithm eliminates non-essential
+// statistics, which are moved to the drop-list (physical deletion remains a
+// separate policy action). eq nil defaults to execution-tree equivalence as
+// in Figure 2. The Shrinking Set phase is always serial: it is a sequence of
+// dependent hide-and-reoptimize probes over shared session state, and its
+// optimizer calls are the cheap part once statistics exist.
+func OfflineTuneCtx(ctx context.Context, sess *optimizer.Session, queries []*query.Select, cfg Config, eq Equivalence, parallelism int) (*TuneReport, error) {
 	if eq == nil {
 		eq = ExecutionTree{}
 	}
 	rep := &TuneReport{}
-	wr, err := RunMNSAWorkloadCtx(ctx, sess, queries, cfg)
+	wr, err := RunMNSAWorkloadCtx(ctx, sess, queries, cfg, parallelism)
 	if err != nil {
 		return nil, err
 	}

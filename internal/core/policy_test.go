@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"autostats/internal/executor"
@@ -103,7 +104,7 @@ func TestOnTheFlyAutoManager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := am.ProcessStatement(stmt); err != nil {
+		if _, err := am.ProcessStatementCtx(context.Background(), stmt); err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
 	}
@@ -117,7 +118,7 @@ func TestOnTheFlyAutoManager(t *testing.T) {
 	// are already adequate) — the chicken-and-egg payoff.
 	before := len(sess.Manager().All())
 	stmt, _ := sqlparser.Parse(db.Schema, stmts[0])
-	if _, err := am.ProcessStatement(stmt); err != nil {
+	if _, err := am.ProcessStatementCtx(context.Background(), stmt); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(sess.Manager().All()); got != before {
@@ -134,7 +135,7 @@ func TestOfflineTune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := OfflineTune(sess, w.Queries(), DefaultConfig(), nil)
+	rep, err := OfflineTuneCtx(context.Background(), sess, w.Queries(), DefaultConfig(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestMNSAAgingDampens(t *testing.T) {
 
 	q := mustParse(t, db, "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45")
 	cfg := DefaultConfig()
-	res, err := RunMNSA(sess, q, cfg)
+	res, err := RunMNSACtx(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestMNSAAgingDampens(t *testing.T) {
 	// re-creation.
 	cfg.UseAging = true
 	cfg.AgingCostThreshold = 1e18
-	res2, err := RunMNSA(sess, q, cfg)
+	res2, err := RunMNSACtx(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestMNSAAgingDampens(t *testing.T) {
 	// An expensive query (threshold 0 → every query counts as expensive)
 	// overrides aging.
 	cfg.AgingCostThreshold = 0
-	res3, err := RunMNSA(sess, q, cfg)
+	res3, err := RunMNSACtx(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestMNSASmallTableShortcut(t *testing.T) {
 	q := mustParse(t, db, "SELECT * FROM region WHERE r_name = 'ASIA'")
 	cfg := DefaultConfig()
 	cfg.MinTableRows = 100 // region has 5 rows
-	res, err := RunMNSA(sess, q, cfg)
+	res, err := RunMNSACtx(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestMNSADResurrection(t *testing.T) {
 	}
 	mgr.AddToDropList(st.ID)
 	q := mustParse(t, db, "SELECT * FROM orders WHERE o_orderdate > DATE 10400")
-	res, err := RunMNSA(sess, q, cfg)
+	res, err := RunMNSACtx(context.Background(), sess, q, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestExhaustiveIsSupersetOfCandidates(t *testing.T) {
 
 // TestCostWeightedTuning: the §6 coverage knob must tune fewer queries and
 // create at most as many statistics as the full run, and full coverage must
-// match RunMNSAWorkload.
+// match RunMNSAWorkloadCtx.
 func TestCostWeightedTuning(t *testing.T) {
 	db := testDB(t, 2)
 	sess := newSession(t, db)

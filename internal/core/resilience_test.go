@@ -38,7 +38,7 @@ func TestParallelCancellationPromptAndClean(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	wr, err := RunMNSAWorkloadParallelCtx(ctx, sess, tuningWorkload(t, db), DefaultConfig(), 4)
+	wr, err := RunMNSAWorkloadCtx(ctx, sess, tuningWorkload(t, db), DefaultConfig(), 4)
 	elapsed := time.Since(start)
 
 	if !errors.Is(err, context.Canceled) {
@@ -75,7 +75,7 @@ func TestParallelPreCanceled(t *testing.T) {
 	sess := newSession(t, db)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunMNSAWorkloadParallelCtx(ctx, sess, tuningWorkload(t, db), DefaultConfig(), 4); !errors.Is(err, context.Canceled) {
+	if _, err := RunMNSAWorkloadCtx(ctx, sess, tuningWorkload(t, db), DefaultConfig(), 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if n := len(sess.Manager().All()); n != 0 {
@@ -97,7 +97,7 @@ func TestMNSADegradedTolerant(t *testing.T) {
 	q := mustParse(t, db, "SELECT * FROM lineitem, orders WHERE l_orderkey = o_orderkey AND l_quantity > 45")
 
 	// Strict mode: the failure aborts.
-	if _, err := RunMNSA(sess, q, DefaultConfig()); !errors.Is(err, boom) {
+	if _, err := RunMNSACtx(context.Background(), sess, q, DefaultConfig()); !errors.Is(err, boom) {
 		t.Fatalf("strict mode: err = %v, want the build failure", err)
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"autostats/internal/optimizer"
@@ -42,7 +43,7 @@ func TestShrinkingProbesDoNotPollutePlanCache(t *testing.T) {
 		t.Fatal("warm-up inserted no plans; the test needs a populated cache")
 	}
 
-	sr, err := ShrinkingSet(sess, queries, nil, ExecutionTree{})
+	sr, err := ShrinkingSetCtx(context.Background(), sess, queries, nil, ExecutionTree{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 
 	"autostats/internal/core"
@@ -70,13 +71,13 @@ func (h *Harness) RunDifferential(count int) (*DiffReport, error) {
 			continue
 		}
 		if rep.Queries%mnsaEvery == mnsaEvery-1 {
-			if _, err := core.RunMNSA(h.Sess, sel, core.DefaultConfig()); err != nil {
+			if _, err := core.RunMNSACtx(context.Background(), h.Sess, sel, core.DefaultConfig()); err != nil {
 				return rep, fmt.Errorf("oracle: MNSA on query %d (%s): %w", i, sel.SQL(), err)
 			}
 			rep.MNSARuns++
 		}
 		if rep.Statements%maintenanceEvery == 0 {
-			if _, err := h.Mgr.RunMaintenance(stats.DefaultMaintenancePolicy()); err != nil {
+			if _, err := h.Mgr.RunMaintenanceCtx(context.Background(), stats.DefaultMaintenancePolicy()); err != nil {
 				return rep, fmt.Errorf("oracle: maintenance after statement %d: %w", i, err)
 			}
 			rep.MaintenanceRuns++

@@ -75,9 +75,9 @@ func TestRefreshFailpointLeavesManagerClean(t *testing.T) {
 	refreshesBefore := refreshes.Value()
 
 	fired := FailNextRefreshes(mgr, 1)
-	err := mgr.Refresh(e.stat.ID)
+	err := mgr.RefreshCtx(context.Background(), e.stat.ID)
 	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("Refresh error = %v, want ErrInjected", err)
+		t.Fatalf("RefreshCtx error = %v, want ErrInjected", err)
 	}
 	if fired() != 1 {
 		t.Fatalf("failpoint fired %d times, want 1", fired())
@@ -97,7 +97,7 @@ func TestRefreshFailpointLeavesManagerClean(t *testing.T) {
 
 	// Disarm and verify the manager recovers on the next attempt.
 	mgr.SetFailpoint(nil)
-	if err := mgr.Refresh(e.stat.ID); err != nil {
+	if err := mgr.RefreshCtx(context.Background(), e.stat.ID); err != nil {
 		t.Fatalf("refresh after disarm: %v", err)
 	}
 	if mgr.Get(e.stat.ID) == before {
@@ -163,9 +163,9 @@ func TestMaintenanceRefreshFailureDoesNotPoisonPlanCache(t *testing.T) {
 
 	e.churnOrders(t, 400) // well past the 20% modification threshold
 	fired := FailNextRefreshes(h.Mgr, 1)
-	_, err := h.Mgr.RunMaintenance(stats.DefaultMaintenancePolicy())
+	_, err := h.Mgr.RunMaintenanceCtx(context.Background(), stats.DefaultMaintenancePolicy())
 	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("RunMaintenance error = %v, want ErrInjected", err)
+		t.Fatalf("RunMaintenanceCtx error = %v, want ErrInjected", err)
 	}
 	if fired() != 1 {
 		t.Fatalf("failpoint fired %d times, want 1", fired())
@@ -211,7 +211,7 @@ func TestStaleEpochProviderCannotPoisonSharedCache(t *testing.T) {
 	frozen := fp.FreezeEpoch()
 	// The statistics set changes after the freeze: the faulty session now
 	// reads fresh statistics under a stale identity.
-	if err := h.Mgr.Refresh(e.stat.ID); err != nil {
+	if err := h.Mgr.RefreshCtx(context.Background(), e.stat.ID); err != nil {
 		t.Fatal(err)
 	}
 	if h.Mgr.Epoch() == frozen {
@@ -269,7 +269,7 @@ func TestTornSnapshotPlanNotCached(t *testing.T) {
 	sess.SetStatsProvider(fp)
 
 	fp.TearAfter(1, func() {
-		if err := h.Mgr.Refresh(e.stat.ID); err != nil {
+		if err := h.Mgr.RefreshCtx(context.Background(), e.stat.ID); err != nil {
 			t.Errorf("tear refresh: %v", err)
 		}
 	})
@@ -376,13 +376,13 @@ func TestConcurrentFaultChurnNeverPoisonsCache(t *testing.T) {
 			switch i % 4 {
 			case 0:
 				FailNextRefreshes(h.Mgr, 1)
-				if err := h.Mgr.Refresh(e.stat.ID); !errors.Is(err, ErrInjected) {
+				if err := h.Mgr.RefreshCtx(context.Background(), e.stat.ID); !errors.Is(err, ErrInjected) {
 					errs <- fmt.Errorf("churn iter %d: want injected error, got %v", i, err)
 					return
 				}
 				h.Mgr.SetFailpoint(nil)
 			case 1:
-				if err := h.Mgr.Refresh(e.stat.ID); err != nil {
+				if err := h.Mgr.RefreshCtx(context.Background(), e.stat.ID); err != nil {
 					errs <- err
 					return
 				}
@@ -392,7 +392,7 @@ func TestConcurrentFaultChurnNeverPoisonsCache(t *testing.T) {
 					return
 				}
 			default:
-				if _, err := h.Mgr.RunMaintenance(stats.DefaultMaintenancePolicy()); err != nil && !errors.Is(err, ErrInjected) {
+				if _, err := h.Mgr.RunMaintenanceCtx(context.Background(), stats.DefaultMaintenancePolicy()); err != nil && !errors.Is(err, ErrInjected) {
 					errs <- err
 					return
 				}

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -103,7 +104,7 @@ func TestPartitionCountDeterminism(t *testing.T) {
 				}
 				// A refresh re-runs the build path; it must be just as
 				// deterministic as the initial create.
-				if err := h.Mgr.Refresh(st.ID); err != nil {
+				if err := h.Mgr.RefreshCtx(context.Background(), st.ID); err != nil {
 					t.Fatal(err)
 				}
 				st = h.Mgr.Get(st.ID)

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -293,7 +294,7 @@ func (h *Harness) RunShrinkPreservation(count int) (*MetaReport, error) {
 		}
 		baseline[i] = p.Signature()
 	}
-	res, err := core.ShrinkingSet(sess, queries, nil, core.ExecutionTree{})
+	res, err := core.ShrinkingSetCtx(context.Background(), sess, queries, nil, core.ExecutionTree{})
 	if err != nil {
 		return nil, fmt.Errorf("oracle: shrinking set: %w", err)
 	}

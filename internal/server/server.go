@@ -393,8 +393,12 @@ func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for t := range s.queue {
 		s.met.queueDepth.Add(-1)
-		resp := s.safeExecute(t)
-		t.cn.send(resp)
+		// A dead connection's queued work is skipped, not run: nobody can
+		// read its answer, and running it would starve live connections.
+		// The accounting below still completes the task, so drain holds.
+		if !t.cn.isDead() {
+			t.cn.send(s.safeExecute(t))
+		}
 		t.cn.inflight.Add(-1)
 		s.met.completed.Inc()
 		t.cn.pending.Done()
@@ -790,6 +794,16 @@ func (cn *conn) kill() {
 	})
 }
 
+// isDead reports whether kill has run.
+func (cn *conn) isDead() bool {
+	select {
+	case <-cn.dead:
+		return true
+	default:
+		return false
+	}
+}
+
 // send enqueues a response without ever blocking the caller. A full queue
 // means the client is consuming responses slower than it pipelines requests
 // — a slow (or stopped) reader — and the connection is evicted rather than
@@ -862,6 +876,12 @@ func (cn *conn) readFrames() {
 				cn.send(protocol.ErrResponse(0, protocol.CodeBadRequest, err.Error()))
 			}
 			break
+		}
+		// Frames still buffered after an eviction come from a peer that
+		// will never read the answers; admitting them would only queue
+		// dead work ahead of live connections.
+		if cn.isDead() {
+			return
 		}
 		cn.srv.handleRequest(cn, req)
 	}

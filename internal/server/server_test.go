@@ -460,13 +460,32 @@ func TestServerSlowClientEvicted(t *testing.T) {
 	c.hello("loris")
 	// Pipeline many full-table scans and never read a byte back. The
 	// responses overflow the socket buffers, the write deadline fires, and
-	// the connection is killed.
+	// the connection is killed. A write error (the reset) is the expected
+	// end of the loop.
 	for i := 0; i < 256; i++ {
-		c.write(&protocol.Request{ID: uint64(2 + i), Op: protocol.OpExec,
-			SQL: "SELECT * FROM lineitem WHERE l_quantity > 0"})
+		req := &protocol.Request{ID: uint64(2 + i), Op: protocol.OpExec,
+			SQL: "SELECT * FROM lineitem WHERE l_quantity > 0"}
+		if protocol.WriteFrame(c.nc, req, 0) != nil {
+			break
+		}
 	}
 	if v := waitCounter(t, s, "server.conn.slow_evicted", 1); v < 1 {
 		t.Fatalf("server.conn.slow_evicted = %d, want >= 1", v)
+	}
+	// Every admitted request completes; the dead connection's queued scans
+	// are skipped, so only work already running or answered executed.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		admitted := s.Obs().Counter("server.requests.admitted").Value()
+		completed := s.Obs().Counter("server.requests.completed").Value()
+		if completed == admitted {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server.requests.completed = %d, want %d (admitted)", completed, admitted)
+		}
+	}
+	if n := s.Obs().Timing("server.op.exec.latency").Snapshot().Count; n > 4+2 {
+		t.Fatalf("%d scans executed for an evicted connection, want <= Workers+WriteQueue = 6", n)
 	}
 	// The pool is free again: a well-behaved connection still round-trips.
 	c2 := dialServer(t, s)

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestManagerConcurrentMutation(t *testing.T) {
 					// Refresh errors when another goroutine dropped the
 					// statistic first; only unexpected errors matter.
 					if m.Has(id) {
-						_ = m.Refresh(id)
+						_ = m.RefreshCtx(context.Background(), id)
 					}
 				case 3:
 					m.AddToDropList(id)

@@ -28,7 +28,7 @@ type FeedbackProvider interface {
 }
 
 // SetFeedbackProvider installs (or, with nil, removes) the execution-feedback
-// source consulted by RunMaintenance. Safe for concurrent use.
+// source consulted by RunMaintenanceCtx. Safe for concurrent use.
 func (m *Manager) SetFeedbackProvider(p FeedbackProvider) {
 	m.cfgMu.Lock()
 	defer m.cfgMu.Unlock()

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"testing"
 
 	"autostats/internal/catalog"
@@ -41,7 +42,7 @@ func TestFeedbackTriggeredRefresh(t *testing.T) {
 	}})
 	epoch0 := m.Epoch()
 
-	rep, err := m.RunMaintenance(DefaultFeedbackPolicy())
+	rep, err := m.RunMaintenanceCtx(context.Background(), DefaultFeedbackPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestFeedbackRefreshRequiresThreshold(t *testing.T) {
 	m.SetFeedbackProvider(&fakeFeedback{sums: []QErrorSummary{
 		{Table: "hot", Column: "v", Count: 100, MaxQ: 1000, MeanQ: 500},
 	}})
-	rep, err := m.RunMaintenance(DefaultMaintenancePolicy())
+	rep, err := m.RunMaintenanceCtx(context.Background(), DefaultMaintenancePolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestFeedbackMinObservationsGate(t *testing.T) {
 	}})
 	p := DefaultFeedbackPolicy()
 	p.FeedbackMinObservations = 2
-	rep, err := m.RunMaintenance(p)
+	rep, err := m.RunMaintenanceCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestFeedbackSkipsCounterRefreshedTables(t *testing.T) {
 	m.SetFeedbackProvider(&fakeFeedback{sums: []QErrorSummary{
 		{Table: "hot", Column: "v", Count: 10, MaxQ: 20, MeanQ: 8},
 	}})
-	rep, err := m.RunMaintenance(DefaultFeedbackPolicy())
+	rep, err := m.RunMaintenanceCtx(context.Background(), DefaultFeedbackPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestFeedbackDropConfirmation(t *testing.T) {
 		{Table: "hot", Column: "v", Count: 8, MaxQ: 1.1, MeanQ: 1.05},
 		{Table: "cold", Column: "v", Count: 8, MaxQ: 1.2, MeanQ: 1.1},
 	}})
-	rep, err := m.RunMaintenance(DefaultFeedbackPolicy())
+	rep, err := m.RunMaintenanceCtx(context.Background(), DefaultFeedbackPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestFeedbackDropConfirmation(t *testing.T) {
 	m.SetFeedbackProvider(&fakeFeedback{sums: []QErrorSummary{
 		{Table: "hot", Column: "v", Count: 8, MaxQ: 30, MeanQ: 12},
 	}})
-	rep, err = m.RunMaintenance(DefaultFeedbackPolicy())
+	rep, err = m.RunMaintenanceCtx(context.Background(), DefaultFeedbackPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -99,7 +100,7 @@ func TestFoldRefreshAvoidsRescan(t *testing.T) {
 	}
 	scansBefore := reg.Snapshot().Counters["stats.build.full_scans"]
 	acctBefore := m.Snapshot()
-	if err := m.Refresh(st.ID); err != nil {
+	if err := m.RefreshCtx(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -162,7 +163,7 @@ func TestFoldThresholdForcesRebuild(t *testing.T) {
 		}
 	}
 	scansBefore := reg.Snapshot().Counters["stats.build.full_scans"]
-	if err := m.Refresh(st.ID); err != nil {
+	if err := m.RefreshCtx(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -183,7 +184,7 @@ func TestFoldThresholdForcesRebuild(t *testing.T) {
 	if err := td.Insert(storage.Row{catalog.NewInt(2), catalog.NewInt(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Refresh(st.ID); err != nil {
+	if err := m.RefreshCtx(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Snapshot().Counters["stats.fold.applied"]; got != 1 {
@@ -205,7 +206,7 @@ func TestFoldDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Refresh(st.ID); err != nil {
+	if err := m.RefreshCtx(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

@@ -119,7 +119,7 @@ func (r MaintenanceReport) Degraded() bool {
 	return len(r.RefreshFailures) > 0 || r.TablesSkipped > 0
 }
 
-// RunMaintenance applies the policy once across all tables: refreshes
+// RunMaintenanceCtx applies the policy once across all tables: refreshes
 // statistics on tables whose modification counter exceeds the threshold,
 // then drops over-updated statistics per the policy.
 //
@@ -128,11 +128,7 @@ func (r MaintenanceReport) Degraded() bool {
 // pass sums them, so refreshes issued concurrently by other goroutines are
 // never misattributed to this pass (diffing the global TotalUpdateCost
 // before/after would fold them in).
-func (m *Manager) RunMaintenance(p MaintenancePolicy) (MaintenanceReport, error) {
-	return m.RunMaintenanceCtx(context.Background(), p)
-}
-
-// RunMaintenanceCtx is RunMaintenance honoring cancellation and deadlines:
+//
 // ctx is checked between tables and between per-statistic rebuilds, so a
 // canceled pass stops at the next boundary with the report covering exactly
 // the work completed. ctx also bounds each statistic rebuild (see EnsureCtx).

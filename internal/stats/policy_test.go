@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestMaintenanceReportCost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := m.RunMaintenance(MaintenancePolicy{UpdateFraction: 0.2})
+	rep, err := m.RunMaintenanceCtx(context.Background(), MaintenancePolicy{UpdateFraction: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestMaintenanceCostUnderConcurrentRefresh(t *testing.T) {
 
 	var passCost float64
 	for i := 0; i < 5; i++ {
-		rep, err := m.RunMaintenance(MaintenancePolicy{UpdateFraction: 0.2})
+		rep, err := m.RunMaintenanceCtx(context.Background(), MaintenancePolicy{UpdateFraction: 0.2})
 		if err != nil {
 			close(stop)
 			t.Fatal(err)
@@ -157,7 +158,7 @@ func TestMaintenanceRefreshesEmptiedTable(t *testing.T) {
 	if n := td.Delete(ids); n != 100 {
 		t.Fatalf("deleted %d rows, want 100", n)
 	}
-	rep, err := m.RunMaintenance(MaintenancePolicy{UpdateFraction: 0.2})
+	rep, err := m.RunMaintenanceCtx(context.Background(), MaintenancePolicy{UpdateFraction: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestMaintenanceRefreshesEmptiedTable(t *testing.T) {
 			fresh.Data.Rows, fresh.Data.Leading.TotalRows())
 	}
 	// The counter was reset: an immediately repeated pass is a no-op.
-	rep2, err := m.RunMaintenance(MaintenancePolicy{UpdateFraction: 0.2})
+	rep2, err := m.RunMaintenanceCtx(context.Background(), MaintenancePolicy{UpdateFraction: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}

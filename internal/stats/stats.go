@@ -144,7 +144,7 @@ type Manager struct {
 	// sampling configures sampled statistics construction (see SetSampling).
 	sampling SampleConfig
 	// feedback, when non-nil, supplies execution-feedback q-error summaries
-	// to RunMaintenance (see SetFeedbackProvider).
+	// to RunMaintenanceCtx (see SetFeedbackProvider).
 	feedback FeedbackProvider
 	// failpoint, when non-nil, can veto mutating operations (see
 	// SetFailpoint).
@@ -405,23 +405,19 @@ func (m *Manager) DropListIDs() []ID {
 // Concurrent Create calls for the same ID are serialized; the second call
 // returns the statistic the first one built.
 func (m *Manager) Create(table string, cols []string) (*Statistic, error) {
-	s, _, err := m.Ensure(table, cols)
+	s, _, err := m.EnsureCtx(context.TODO(), table, cols)
 	return s, err
 }
 
-// Ensure is Create that also reports whether this call physically built the
-// statistic — false when it already existed or was merely resurrected from
-// the drop-list. Callers that attribute build cost (MNSA's units-consumed
-// accounting) need the distinction; Create callers don't.
-func (m *Manager) Ensure(table string, cols []string) (*Statistic, bool, error) {
-	return m.EnsureCtx(context.Background(), table, cols)
-}
-
-// EnsureCtx is Ensure honoring cancellation and deadlines: the build is
-// abandoned — with all published state (snapshots, epoch, accounting)
-// untouched — when ctx expires before or between the build steps. A
-// statistic that already exists is returned regardless of ctx state; only
-// physical building is cancellable work.
+// EnsureCtx is Create that also reports whether this call physically built
+// the statistic — false when it already existed or was merely resurrected
+// from the drop-list. Callers that attribute build cost (MNSA's
+// units-consumed accounting) need the distinction; Create callers don't.
+//
+// The build is abandoned — with all published state (snapshots, epoch,
+// accounting) untouched — when ctx expires before or between the build
+// steps. A statistic that already exists is returned regardless of ctx
+// state; only physical building is cancellable work.
 func (m *Manager) EnsureCtx(ctx context.Context, table string, cols []string) (*Statistic, bool, error) {
 	id := MakeID(table, cols)
 	met := m.metrics()
@@ -567,19 +563,14 @@ func (m *Manager) RecentlyDropped(id ID) bool {
 	return ok && m.clock.Load()-at < m.AgingWindow
 }
 
-// Refresh rebuilds an existing statistic from current data, charging its
+// RefreshCtx rebuilds an existing statistic from current data, charging its
 // update cost (and only its update cost — creation accounting is untouched).
 // Drop-listed statistics are skipped (they are not maintained). The map
 // entry is replaced with a fresh Statistic; previously handed-out pointers
 // keep their pre-refresh snapshot. When incremental maintenance is enabled
 // and the table's logged row deltas are small enough, the refresh folds the
-// deltas into the existing histogram instead of rescanning the table.
-func (m *Manager) Refresh(id ID) error {
-	return m.RefreshCtx(context.Background(), id)
-}
-
-// RefreshCtx is Refresh honoring cancellation and deadlines; see EnsureCtx
-// for the abandonment guarantees.
+// deltas into the existing histogram instead of rescanning the table. See
+// EnsureCtx for the cancellation guarantees.
 func (m *Manager) RefreshCtx(ctx context.Context, id ID) error {
 	met := m.metrics()
 	sh := m.shardFor(id.Table())

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"testing"
 
 	"autostats/internal/catalog"
@@ -147,7 +148,7 @@ func TestRefreshAccountingAndDropListSkip(t *testing.T) {
 	if m.TotalUpdateCost <= 0 {
 		t.Error("update cost not charged")
 	}
-	if err := m.Refresh(ID("t(zzz)")); err == nil {
+	if err := m.RefreshCtx(context.Background(), ID("t(zzz)")); err == nil {
 		t.Error("refresh of unknown statistic should error")
 	}
 }
@@ -166,7 +167,7 @@ func TestRefreshChargesOnlyUpdateAccounting(t *testing.T) {
 	if before.BuildCount != 1 || before.TotalBuildCost <= 0 {
 		t.Fatalf("setup accounting: %+v", before)
 	}
-	if err := m.Refresh(st.ID); err != nil {
+	if err := m.RefreshCtx(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
 	after := m.Snapshot()
@@ -224,7 +225,7 @@ func TestEpochBumpsOnMutations(t *testing.T) {
 	if e3 <= e2 {
 		t.Error("resurrecting Create did not bump epoch")
 	}
-	if err := m.Refresh(st.ID); err != nil {
+	if err := m.RefreshCtx(context.Background(), st.ID); err != nil {
 		t.Fatal(err)
 	}
 	e4 := m.Epoch()
@@ -263,7 +264,7 @@ func TestMaintenancePolicy(t *testing.T) {
 	p := MaintenancePolicy{UpdateFraction: 0.2, MaxUpdates: 1, DropListOnly: true}
 
 	// Below threshold: nothing happens.
-	rep, err := m.RunMaintenance(p)
+	rep, err := m.RunMaintenanceCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestMaintenancePolicy(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		_ = td.Insert(storage.Row{catalog.NewInt(1), catalog.NewInt(1)})
 	}
-	rep, err = m.RunMaintenance(p)
+	rep, err = m.RunMaintenanceCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,12 +292,12 @@ func TestMaintenancePolicy(t *testing.T) {
 	// Refresh replaced the published Statistic, so re-fetch the live one.
 	a = m.Get(a.ID)
 	a.UpdateCount = 5
-	rep, _ = m.RunMaintenance(p)
+	rep, _ = m.RunMaintenanceCtx(context.Background(), p)
 	if rep.StatsDropped != 0 {
 		t.Error("DropListOnly policy dropped a maintained statistic")
 	}
 	m.AddToDropList(a.ID)
-	rep, _ = m.RunMaintenance(p)
+	rep, _ = m.RunMaintenanceCtx(context.Background(), p)
 	if rep.StatsDropped != 1 {
 		t.Errorf("expected drop of over-updated drop-listed statistic: %+v", rep)
 	}
@@ -305,7 +306,7 @@ func TestMaintenancePolicy(t *testing.T) {
 	// statistic is dropped.
 	b, _ := m.Create("t", []string{"b"})
 	b.UpdateCount = 5
-	rep, _ = m.RunMaintenance(MaintenancePolicy{UpdateFraction: 0.2, MaxUpdates: 1})
+	rep, _ = m.RunMaintenanceCtx(context.Background(), MaintenancePolicy{UpdateFraction: 0.2, MaxUpdates: 1})
 	if rep.StatsDropped != 1 {
 		t.Errorf("stock policy should drop over-updated statistic: %+v", rep)
 	}

@@ -328,7 +328,7 @@ func TestStreamingConcurrentBuildsAndFolds(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 25; i++ {
-			if err := m.Refresh(id); err != nil {
+			if err := m.RefreshCtx(context.Background(), id); err != nil {
 				t.Errorf("refresh: %v", err)
 				return
 			}
@@ -348,7 +348,7 @@ func TestStreamingConcurrentBuildsAndFolds(t *testing.T) {
 	}
 	// One more refresh so the statistic reflects the final table state, then
 	// compare against a fresh single-pass reference.
-	if err := m.Refresh(id); err != nil {
+	if err := m.RefreshCtx(context.Background(), id); err != nil {
 		t.Fatal(err)
 	}
 	got := m.Get(id)
@@ -449,7 +449,7 @@ func BenchmarkStreamingManagerBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Refresh(id); err != nil {
+		if err := m.RefreshCtx(context.Background(), id); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -178,7 +178,7 @@ func (s *System) tuneQueries(ctx context.Context, queries []*query.Select, opts 
 		}
 	}
 	if opts.Shrink {
-		tr, err := core.OfflineTuneParallelCtx(ctx, s.sess, queries, cfg, nil, opts.Parallelism)
+		tr, err := core.OfflineTuneCtx(ctx, s.sess, queries, cfg, nil, opts.Parallelism)
 		if err != nil {
 			return nil, err
 		}
@@ -187,7 +187,7 @@ func (s *System) tuneQueries(ctx context.Context, queries []*query.Select, opts 
 		rep.Essential = idsToStrings(tr.Shrink.Kept)
 		rep.OptimizerCalls = tr.MNSA.OptimizerCalls + tr.Shrink.OptimizerCalls
 	} else {
-		wr, err := core.RunMNSAWorkloadParallelCtx(ctx, s.sess, queries, cfg, opts.Parallelism)
+		wr, err := core.RunMNSAWorkloadCtx(ctx, s.sess, queries, cfg, opts.Parallelism)
 		if err != nil {
 			return nil, err
 		}
